@@ -1,6 +1,5 @@
 #pragma once
-// External job executor: lets a host process run many Studies on one shared
-// thread pool instead of each Study spawning its own workers.
+// Job executor: the one mechanism every Study runs its job DAG on.
 //
 // The Study runner only needs fire-and-forget submission — DAG ordering is
 // the runner's own bookkeeping (a job is submitted only once its
@@ -9,10 +8,16 @@
 // width >= 1 makes progress and several concurrent Studies can interleave
 // their jobs on the same workers without deadlock.
 //
-// serve::SharedPool is the production implementation, shared across all
-// concurrent daemon requests.
+// ThreadPool is the implementation. A Study without a caller-provided
+// executor creates a local one of its resolved width; a host process (the
+// serve daemon, the benchmark driver) shares one across concurrent Studies.
 
+#include <condition_variable>
+#include <deque>
 #include <functional>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace netsmith::api {
 
@@ -24,6 +29,27 @@ class JobExecutor {
   // Must not run the task inline (the caller may hold locks) and must not
   // drop it: every submitted task is eventually executed.
   virtual void submit(std::function<void()> task) = 0;
+};
+
+// Fixed-width worker pool implementing JobExecutor. submit() enqueues and
+// never runs inline; the destructor drains every queued task, then joins.
+// Width governs study parallelism for every Study sharing it.
+class ThreadPool final : public JobExecutor {
+ public:
+  // width <= 0 picks hardware concurrency (min 1).
+  explicit ThreadPool(int width = 0);
+  ~ThreadPool() override;
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
+
+  void submit(std::function<void()> task) override;
+
+ private:
+  std::vector<std::thread> workers_;
+  std::deque<std::function<void()>> queue_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
 };
 
 }  // namespace netsmith::api

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,12 +17,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/channel_load.hpp"
+#include "sim/sweep.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
 
 namespace netsmith::api {
 
@@ -49,77 +45,14 @@ struct Job {
 
 using DoneCallback = std::function<void(const std::string&, int, int)>;
 
-// Runs `jobs[id]`, then — under `m` — retires it: propagates skips, returns
-// the newly unblocked dependents, and fires the completion callback. Shared
-// by both DAG drivers below.
-std::vector<int> retire_job(std::vector<Job>& jobs, int id, std::mutex& m,
-                            std::size_t& remaining, int& done,
-                            const DoneCallback& on_done) {
-  if (!jobs[id].skip) {
-    try {
-      jobs[id].fn();
-    } catch (...) {
-      jobs[id].error = std::current_exception();
-    }
-  }
-  std::lock_guard<std::mutex> lk(m);
-  --remaining;
-  ++done;
-  const bool failed = jobs[id].skip || jobs[id].error != nullptr;
-  std::vector<int> newly;
-  for (int d : jobs[id].dependents) {
-    if (failed && !jobs[d].skip) {
-      jobs[d].skip = true;
-      jobs[d].skip_reason = "dependency '" + jobs[id].label + "' " +
-                            (jobs[id].error ? "failed" : "was skipped");
-    }
-    if (--jobs[d].pending == 0) newly.push_back(d);
-  }
-  if (on_done) on_done(jobs[id].label, done, static_cast<int>(jobs.size()));
-  return newly;
-}
-
-// Runs the DAG on `width` workers. Jobs become ready as dependencies finish;
-// a failed dependency skips its downstream jobs (recording which dependency
-// failed). Never throws: errors stay on the jobs for the caller to collect —
-// a failed job degrades the report, it does not abort the study.
-void run_dag(std::vector<Job>& jobs, int width, const DoneCallback& on_done) {
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<int> ready;
-  for (int i = 0; i < static_cast<int>(jobs.size()); ++i)
-    if (jobs[i].pending == 0) ready.push_back(i);
-  std::size_t remaining = jobs.size();
-  int done = 0;
-
-  auto worker = [&] {
-    std::unique_lock<std::mutex> lk(m);
-    while (true) {
-      cv.wait(lk, [&] { return !ready.empty() || remaining == 0; });
-      if (ready.empty()) return;  // remaining == 0: drained
-      const int id = ready.front();
-      ready.pop_front();
-      lk.unlock();
-      const std::vector<int> newly =
-          retire_job(jobs, id, m, remaining, done, on_done);
-      lk.lock();
-      for (int d : newly) ready.push_back(d);
-      cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-}
-
-// Executor-backed variant: jobs are submitted to an external pool (shared
-// across concurrent studies) instead of dedicated workers. The calling
-// thread blocks until the whole DAG has drained. Completion state is
+// Runs the job DAG on `exec`; the calling thread blocks until it drains.
+// Jobs are submitted as their dependencies finish; a failed dependency skips
+// its downstream jobs (recording which dependency failed). Never throws:
+// errors stay on the jobs for the caller to collect — a failed job degrades
+// the report, it does not abort the study. Completion state is
 // shared_ptr-held so in-flight task closures never dangle, whatever the
 // pool's retirement order.
-struct ExternalDag : std::enable_shared_from_this<ExternalDag> {
+struct Dag : std::enable_shared_from_this<Dag> {
   std::vector<Job>* jobs = nullptr;
   api::JobExecutor* exec = nullptr;
   DoneCallback on_done;
@@ -129,27 +62,48 @@ struct ExternalDag : std::enable_shared_from_this<ExternalDag> {
   int done = 0;
 
   void submit(int id) {
-    exec->submit([self = shared_from_this(), id] {
-      std::size_t left;
-      std::vector<int> newly;
-      {
-        // retire_job locks internally; compute `left` under the same lock
-        // ordering by re-locking after (remaining only decreases).
-        newly = retire_job(*self->jobs, id, self->m, self->remaining,
-                           self->done, self->on_done);
-        std::lock_guard<std::mutex> lk(self->m);
-        left = self->remaining;
+    exec->submit([self = shared_from_this(), id] { self->run(id); });
+  }
+
+  // Runs job `id`, then — under `m` — retires it: propagates skips, fires
+  // the completion callback, and submits the newly unblocked dependents.
+  void run(int id) {
+    Job& job = (*jobs)[static_cast<std::size_t>(id)];
+    if (!job.skip) {
+      try {
+        job.fn();
+      } catch (...) {
+        job.error = std::current_exception();
       }
-      for (int d : newly) self->submit(d);
-      if (left == 0) self->cv.notify_all();
-    });
+    }
+    std::vector<int> newly;
+    bool drained;
+    {
+      std::lock_guard<std::mutex> lk(m);
+      --remaining;
+      ++done;
+      const bool failed = job.skip || job.error != nullptr;
+      for (int d : job.dependents) {
+        Job& dep = (*jobs)[static_cast<std::size_t>(d)];
+        if (failed && !dep.skip) {
+          dep.skip = true;
+          dep.skip_reason = "dependency '" + job.label + "' " +
+                            (job.error ? "failed" : "was skipped");
+        }
+        if (--dep.pending == 0) newly.push_back(d);
+      }
+      if (on_done) on_done(job.label, done, static_cast<int>(jobs->size()));
+      drained = remaining == 0;
+    }
+    for (int d : newly) submit(d);
+    if (drained) cv.notify_all();
   }
 };
 
 void run_dag_on(std::vector<Job>& jobs, api::JobExecutor& exec,
                 const DoneCallback& on_done) {
   if (jobs.empty()) return;
-  auto dag = std::make_shared<ExternalDag>();
+  auto dag = std::make_shared<Dag>();
   dag->jobs = &jobs;
   dag->exec = &exec;
   dag->on_done = on_done;
@@ -518,11 +472,6 @@ std::string Study::sweep_cache_key(const USweep& s) const {
   const auto& p = uplans_[static_cast<std::size_t>(s.plan)];
   const auto& ts = spec_.traffic[static_cast<std::size_t>(s.traffic)];
   const auto& sw = spec_.sweep;
-#if defined(_OPENMP)
-  const int omp_width = omp_get_max_threads();
-#else
-  const int omp_width = 1;
-#endif
   // ts.name is presentation-only (report row labels) and deliberately not
   // part of the key; omp width is, because adaptive truncation and the
   // omp_threads provenance field both depend on it.
@@ -541,7 +490,7 @@ std::string Study::sweep_cache_key(const USweep& s) const {
          ";rd=" + std::to_string(sw.router_delay) +
          ";ld=" + std::to_string(sw.link_delay) +
          ";simseed=" + std::to_string(sw.sim_seed) +
-         ";omp=" + std::to_string(omp_width);
+         ";omp=" + std::to_string(sim::sweep_width());
 }
 
 void Study::run_sweep_job(USweep& s) {
@@ -591,7 +540,7 @@ void Study::run_resilience_job(UResilience& r) {
   const double clock = topo::clock_ghz(t.topo.link_class);
 
   // Expand the scenario against this plan. Throws on invalid explicit events
-  // or repairs exceeding the VC budget; run_dag records the job as failed.
+  // or repairs exceeding the VC budget; the DAG records the job as failed.
   const long horizon = cfg.warmup + cfg.measure + cfg.drain;
   r.fplan = fault::prepare_fault_plan(p.plan, sc, horizon);
   cfg.faults = &r.fplan;
@@ -617,7 +566,7 @@ void Study::run_jobs() {
   // Every job body runs under a lifecycle span (one track per pool worker in
   // the trace) and adds its wall time to the shared busy clock, from which
   // the post-DAG flush derives pool utilization. The jobs vector outlives
-  // run_dag's join, so capturing busy_us by reference is safe.
+  // the DAG drain, so capturing busy_us by reference is safe.
   std::atomic<long long> busy_us{0};
   const auto timed = [&busy_us](const char* name, int index, auto&& body) {
     const double t0 = obs::now_us();
@@ -707,10 +656,12 @@ void Study::run_jobs() {
   width = std::min<int>(width, std::max(1, stats_.jobs_total));
 
   obs::WallTimer wall;
-  if (opts_.executor != nullptr)
+  if (opts_.executor != nullptr) {
     run_dag_on(jobs, *opts_.executor, opts_.on_job_done);
-  else
-    run_dag(jobs, width, opts_.on_job_done);
+  } else {
+    ThreadPool pool(width);
+    run_dag_on(jobs, pool, opts_.on_job_done);
+  }
   stats_.syntheses_run = synth_count_.load();
 
   // Failure provenance, in job-id order (deterministic across widths: which
@@ -749,11 +700,7 @@ Report Study::assemble() const {
   Report rep;
   rep.spec = spec_;
   rep.stats = stats_;
-#if defined(_OPENMP)
-  rep.omp_max_threads = omp_get_max_threads();
-#else
-  rep.omp_max_threads = 1;
-#endif
+  rep.omp_max_threads = sim::sweep_width();
 
   const int S = static_cast<int>(spec_.seeds.size());
   const int T = static_cast<int>(spec_.traffic.size());

@@ -78,8 +78,8 @@ struct StudyOptions {
   // reports, so plugging a cache never changes results, only wall clock.
   ArtifactCache* cache = nullptr;
   // External executor (a process-wide pool shared across concurrent
-  // studies, e.g. the serve daemon's). Null = the study spawns its own
-  // `threads`-wide pool. With an executor the pool's width governs
+  // studies, e.g. the serve daemon's). Null = the study runs on a local
+  // `threads`-wide ThreadPool. With an executor the pool's width governs
   // parallelism and `threads` is ignored.
   JobExecutor* executor = nullptr;
   // Per-job completion callback (label, jobs completed, jobs total), called

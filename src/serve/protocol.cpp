@@ -133,16 +133,25 @@ bool write_line(int fd, const std::string& line) {
 
 bool LineReader::next(std::string& line) {
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
+    const std::size_t nl = buf_.find('\n', scanned_);
+    if ((nl == std::string::npos ? buf_.size() : nl) > kMaxLineBytes) {
+      overflowed_ = eof_ = true;
+      buf_.clear();
+      scanned_ = 0;
+      return false;
+    }
     if (nl != std::string::npos) {
       line = buf_.substr(0, nl);
       buf_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
     }
+    scanned_ = buf_.size();
     if (eof_) {
       if (buf_.empty()) return false;
       line = std::move(buf_);
       buf_.clear();
+      scanned_ = 0;
       return true;
     }
     char chunk[4096];

@@ -24,6 +24,7 @@
 // Any failure produces {"event":"error","message":...} and the connection
 // stays open for the next request; protocol errors never kill the daemon.
 
+#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -63,6 +64,10 @@ util::JsonValue store_stats_json(const StoreStats& s);
 // closed or broken peer (callers treat that as "client went away").
 bool write_line(int fd, const std::string& line);
 
+// Longest line a LineReader buffers. A peer that sends more without a
+// newline is cut off instead of growing the buffer without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
 // Incremental line splitter over a blocking fd. When the fd carries an
 // SO_RCVTIMEO, each timeout invokes `stop` (if set); a true return abandons
 // the read — this is how daemon connection handlers notice a shutdown while
@@ -71,15 +76,21 @@ class LineReader {
  public:
   explicit LineReader(int fd, std::function<bool()> stop = {})
       : fd_(fd), stop_(std::move(stop)) {}
-  // Next complete line (without '\n'); false on EOF or read error. A final
-  // unterminated chunk before EOF is returned as a line.
+  // Next complete line (without '\n'); false on EOF, read error or a line
+  // longer than kMaxLineBytes. A final unterminated chunk before EOF is
+  // returned as a line.
   bool next(std::string& line);
+  // True once next() gave up on a line longer than kMaxLineBytes; the
+  // reader then stays at EOF.
+  bool overflowed() const { return overflowed_; }
 
  private:
   int fd_;
   std::function<bool()> stop_;
   std::string buf_;
+  std::size_t scanned_ = 0;  // buf_[0, scanned_) holds no newline
   bool eof_ = false;
+  bool overflowed_ = false;
 };
 
 }  // namespace netsmith::serve

@@ -4,16 +4,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <deque>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
 #include "api/report.hpp"
@@ -25,50 +20,7 @@
 
 namespace netsmith::serve {
 
-namespace fs = std::filesystem;
 using util::JsonValue;
-
-// ------------------------------------------------------------ SharedPool --
-
-SharedPool::SharedPool(int width) {
-  if (width <= 0) width = static_cast<int>(std::thread::hardware_concurrency());
-  if (width <= 0) width = 1;
-  workers_.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) {
-    workers_.emplace_back([this] {
-      for (;;) {
-        std::function<void()> task;
-        {
-          std::unique_lock<std::mutex> lk(mu_);
-          cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-          if (queue_.empty()) return;  // stop requested and fully drained
-          task = std::move(queue_.front());
-          queue_.pop_front();
-        }
-        task();
-      }
-    });
-  }
-}
-
-SharedPool::~SharedPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void SharedPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-// ---------------------------------------------------------------- Server --
 
 namespace {
 
@@ -77,21 +29,6 @@ void set_recv_timeout(int fd, int ms) {
   tv.tv_sec = ms / 1000;
   tv.tv_usec = (ms % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-bool write_file(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << data;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -136,11 +73,6 @@ void Server::start() {
     set_recv_timeout(listen_fd_, 200);
     accept_thread_ = std::thread([this] { accept_loop(); });
   }
-  if (!opts_.spool_dir.empty()) {
-    std::error_code ec;
-    fs::create_directories(opts_.spool_dir, ec);
-    spool_thread_ = std::thread([this] { spool_loop(); });
-  }
   started_ = true;
 }
 
@@ -158,11 +90,9 @@ void Server::wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lk(conn_mu_);
-    for (auto& t : conn_threads_)
-      if (t.joinable()) t.join();
-    conn_threads_.clear();
+    for (auto& c : conns_) c.thread.join();
+    conns_.clear();
   }
-  if (spool_thread_.joinable()) spool_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -186,11 +116,30 @@ void Server::accept_loop() {
     }
     set_recv_timeout(fd, 500);
     std::lock_guard<std::mutex> lk(conn_mu_);
-    conn_threads_.emplace_back([this, fd] {
+    reap_connections();
+    Connection& c = conns_.emplace_back();
+    c.thread = std::thread([this, fd, &c] {
       handle_connection(fd);
       ::close(fd);
+      c.done = true;
     });
   }
+}
+
+void Server::reap_connections() {
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->done) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+std::size_t Server::unjoined_handlers() const {
+  std::lock_guard<std::mutex> lk(conn_mu_);
+  return conns_.size();
 }
 
 void Server::handle_connection(int fd) {
@@ -225,6 +174,12 @@ void Server::handle_connection(int fd) {
     } else {  // "run"
       handle_run(fd, req.spec);
     }
+  }
+  if (reader.overflowed()) {
+    obs::counter("serve.requests_bad").inc();
+    write_line(fd, error_event("request line exceeds " +
+                               std::to_string(kMaxLineBytes) +
+                               " bytes; closing connection"));
   }
 }
 
@@ -306,82 +261,6 @@ void Server::handle_run(int fd, const JsonValue& spec_json) {
   write_line(fd, report_event(api::report_to_json(report),
                               !report.failed_jobs.empty(),
                               study->artifact_cache_stats(), store_.stats()));
-}
-
-bool Server::run_spec_json(
-    const JsonValue& spec_json,
-    const std::function<void(const std::string&, int, int)>& on_job_done,
-    std::string& report_json, bool& partial,
-    api::ArtifactCacheStats& cache_stats, std::string& error) {
-  try {
-    const api::ExperimentSpec spec = api::spec_from_json(spec_json);
-    api::StudyOptions sopts;
-    sopts.cache = &store_;
-    sopts.executor = &pool_;
-    sopts.on_job_done = on_job_done;
-    api::Study study(spec, sopts);
-    const api::Report report = study.run();
-    report_json = api::report_to_json(report);
-    partial = !report.failed_jobs.empty();
-    cache_stats = study.artifact_cache_stats();
-    return true;
-  } catch (const std::exception& e) {
-    error = e.what();
-    if (error.empty()) error = "study failed";
-    return false;
-  }
-}
-
-void Server::spool_loop() {
-  while (!stop_requested()) {
-    std::vector<std::string> inputs;
-    {
-      std::error_code ec;
-      for (fs::directory_iterator it(opts_.spool_dir, ec), end;
-           !ec && it != end; it.increment(ec)) {
-        if (!it->is_regular_file(ec)) continue;
-        const std::string name = it->path().filename().string();
-        if (name.size() < 6 || name.substr(name.size() - 5) != ".json")
-          continue;
-        if (name.size() >= 12 &&
-            name.substr(name.size() - 12) == ".report.json")
-          continue;
-        inputs.push_back(it->path().string());
-      }
-    }
-    std::sort(inputs.begin(), inputs.end());
-    for (const std::string& path : inputs) {
-      if (stop_requested()) break;
-      obs::Span span("serve/request");
-      span.arg("op", "spool");
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      obs::counter("serve.requests").inc();
-      const std::string stem = path.substr(0, path.size() - 5);
-      std::string report_json, error;
-      bool partial = false;
-      api::ArtifactCacheStats cache_stats;
-      bool ok;
-      try {
-        ok = run_spec_json(JsonValue::parse(read_file(path)),
-                           std::function<void(const std::string&, int, int)>(),
-                           report_json, partial, cache_stats, error);
-      } catch (const std::exception& e) {
-        ok = false;
-        error = e.what();
-      }
-      std::error_code ec;
-      if (ok && write_file(stem + ".report.json", report_json)) {
-        fs::rename(path, path + ".done", ec);
-      } else {
-        if (error.empty()) error = "cannot write report";
-        write_file(stem + ".error.txt", error + "\n");
-        fs::rename(path, path + ".failed", ec);
-      }
-    }
-    std::unique_lock<std::mutex> lk(stop_mu_);
-    stop_cv_.wait_for(lk, std::chrono::milliseconds(opts_.spool_poll_ms),
-                      [this] { return stop_requested(); });
-  }
 }
 
 }  // namespace netsmith::serve

@@ -5,14 +5,10 @@
 // share compute fairly and repeated specs are answered from cache — a warm
 // identical spec performs zero synthesis/plan/sweep work.
 //
-// Front ends, both optional and composable:
-//  - Unix-domain socket (ServerOptions::socket_path): newline-delimited
-//    JSON protocol (serve/protocol.hpp), one connection-handler thread per
-//    client, progress events streamed as jobs retire.
-//  - Spool directory (ServerOptions::spool_dir): polled for "*.json" specs;
-//    each produces "<stem>.report.json" and the input is renamed to
-//    "<input>.done" (or ".failed" plus "<stem>.error.txt"). Lets scripts
-//    use the daemon without speaking the socket protocol.
+// The one front end is a Unix-domain socket (ServerOptions::socket_path):
+// newline-delimited JSON protocol (serve/protocol.hpp), one
+// connection-handler thread per client, progress events streamed as jobs
+// retire. Batch use against a shared store is `netsmith_run --cache DIR`.
 //
 // Deadlock rule: pool tasks never block on other tasks. The Study's
 // executor-backed DAG (run_dag_on) only ever submits ready jobs, and the
@@ -22,12 +18,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "api/executor.hpp"
 #include "serve/store.hpp"
@@ -35,35 +29,14 @@
 
 namespace netsmith::serve {
 
-// Fixed-width worker pool implementing api::JobExecutor. submit() enqueues
-// and never runs inline; the destructor drains every queued task, then
-// joins. Width governs study parallelism for every request sharing it.
-class SharedPool final : public api::JobExecutor {
- public:
-  // width <= 0 picks hardware concurrency (min 1).
-  explicit SharedPool(int width = 0);
-  ~SharedPool() override;
-  SharedPool(const SharedPool&) = delete;
-  SharedPool& operator=(const SharedPool&) = delete;
-
-  void submit(std::function<void()> task) override;
-  int width() const { return static_cast<int>(workers_.size()); }
-
- private:
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
+// The daemon's executor is the API's ThreadPool, shared by every request.
+using SharedPool = api::ThreadPool;
 
 struct ServerOptions {
   std::string socket_path;  // empty = no socket listener
-  std::string spool_dir;    // empty = no spool watcher
   std::string cache_dir;    // empty = memory-only store
   std::size_t lru_bytes = 64ull << 20;
   int threads = 0;  // SharedPool width; 0 = hardware concurrency
-  int spool_poll_ms = 200;
 };
 
 class Server {
@@ -73,7 +46,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds the socket and launches the listener/spool threads. Throws
+  // Binds the socket and launches the listener thread. Throws
   // std::runtime_error when the socket cannot be bound.
   void start();
   // Blocks until request_stop() (e.g. from a signal handler or a client
@@ -90,20 +63,21 @@ class Server {
   long requests_handled() const {
     return requests_.load(std::memory_order_relaxed);
   }
+  // Connection-handler threads not yet joined. Finished handlers are joined
+  // on each accept, so this tracks open connections, not connections ever
+  // accepted.
+  std::size_t unjoined_handlers() const;
 
  private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   void accept_loop();
   void handle_connection(int fd);
   void handle_run(int fd, const util::JsonValue& spec_json);
-  void spool_loop();
-  // Shared by socket and spool paths: run one spec on the shared pool with
-  // the shared store. Returns false + message on any failure.
-  bool run_spec_json(const util::JsonValue& spec_json,
-                     const std::function<void(const std::string&, int, int)>&
-                         on_job_done,
-                     std::string& report_json, bool& partial,
-                     api::ArtifactCacheStats& cache_stats,
-                     std::string& error);
+  // Joins and drops every finished handler; conn_mu_ must be held.
+  void reap_connections();
 
   ServerOptions opts_;
   ArtifactStore store_;
@@ -112,9 +86,8 @@ class Server {
   std::atomic<long> requests_{0};
   int listen_fd_ = -1;
   std::thread accept_thread_;
-  std::thread spool_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex conn_mu_;
+  std::list<Connection> conns_;  // stable addresses: handlers flag `done`
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;
   bool started_ = false;

@@ -18,6 +18,14 @@ constexpr double kSaturationLatencyFactor = 6.0;
 
 }  // namespace
 
+int sweep_width() {
+#if defined(_OPENMP)
+  return std::max(1, omp_get_max_threads());
+#else
+  return 1;
+#endif
+}
+
 std::vector<double> default_rates(double max_rate, int points) {
   std::vector<double> rates;
   rates.reserve(points);
@@ -48,12 +56,7 @@ SweepResult injection_sweep(const core::NetworkPlan& plan,
   // waves, so the sweep stays deterministic per thread count while the
   // zero-load run and the low-rate points still overlap.
   SimStats zero_stats;
-#if defined(_OPENMP)
-  const std::size_t wave = static_cast<std::size_t>(
-      std::max(1, omp_get_max_threads()));
-#else
-  const std::size_t wave = 1;
-#endif
+  const std::size_t wave = static_cast<std::size_t>(sweep_width());
   result.omp_threads = static_cast<int>(wave);
   const std::size_t total = rates.size() + 1;
   bool saturated_seen = false;

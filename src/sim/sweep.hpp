@@ -39,6 +39,11 @@ struct SweepResult {
   int omp_threads = 1;
 };
 
+// OpenMP team width a sweep started on the calling thread runs with: its
+// wave size, and so an input to adaptive truncation. Sweep cache keys and
+// report provenance record it; this module is the only OpenMP user.
+int sweep_width();
+
 // Geometric-ish grid of offered rates up to max_rate.
 std::vector<double> default_rates(double max_rate, int points = 14);
 

@@ -1,9 +1,5 @@
 #include "topo/cuts.hpp"
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <bit>
 #include <cassert>
@@ -14,13 +10,6 @@
 namespace netsmith::topo {
 
 namespace {
-
-#if !defined(_OPENMP)
-// Serial fallbacks so the enumeration loops below compile unchanged when
-// OpenMP is unavailable (the pragmas are then no-ops).
-int omp_get_num_threads() { return 1; }
-int omp_get_thread_num() { return 0; }
-#endif
 
 double ratio(int cross_uv, int cross_vu, int u_size, int n) {
   const int v_size = n - u_size;
@@ -197,52 +186,19 @@ Cut sparsest_cut_exact(const DiGraph& g) {
   // Fix node n-1 in V so every unordered partition is visited exactly once.
   const std::uint64_t total = 1ULL << (n - 1);
 
+  // Gray-code walk over partitions 1 .. total-1: gray(i) and gray(i+1)
+  // differ in bit ctz(i+1), so each step is one incremental node flip. The
+  // strict < keeps the first minimum in walk order.
   Cut best;
   best.bandwidth = std::numeric_limits<double>::infinity();
-
-#pragma omp parallel
-  {
-    Cut local_best;
-    local_best.bandwidth = std::numeric_limits<double>::infinity();
-
-    const int threads = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
-    const std::uint64_t chunk = (total + threads - 1) / threads;
-    const std::uint64_t lo = std::max<std::uint64_t>(1, tid * chunk);
-    const std::uint64_t hi = std::min(total, (tid + 1) * chunk);
-
-    if (lo < hi) {
-      // Gray-code walk: gray(i) and gray(i+1) differ in bit ctz(i+1).
-      std::uint64_t gray = lo ^ (lo >> 1);
-      std::uint64_t mask = gray;
-      int usz = std::popcount(mask), uv = 0, vu = 0;
-      count_cross(g, mask, &uv, &vu);
-
-      for (std::uint64_t i = lo;; ++i) {
-        if (usz > 0) {
-          const double bw = ratio(uv, vu, usz, n);
-          if (bw < local_best.bandwidth) {
-            local_best.bandwidth = bw;
-            local_best.u_mask = gray;
-            local_best.u_size = usz;
-            local_best.cross_uv = uv;
-            local_best.cross_vu = vu;
-          }
-        }
-        if (i + 1 >= hi) break;
-        const int flip = std::countr_zero(i + 1);
-        gray ^= 1ULL << flip;
-        flip_node(g, mask, flip, &uv, &vu, &usz);
-      }
-    }
-
-#pragma omp critical
-    {
-      if (local_best.bandwidth < best.bandwidth ||
-          (local_best.bandwidth == best.bandwidth &&
-           local_best.u_mask < best.u_mask))
-        best = local_best;
-    }
+  std::uint64_t mask = 1;
+  int usz = 1, uv = 0, vu = 0;
+  count_cross(g, mask, &uv, &vu);
+  for (std::uint64_t i = 1;; ++i) {
+    const double bw = ratio(uv, vu, usz, n);
+    if (bw < best.bandwidth) best = Cut{mask, usz, uv, vu, bw};
+    if (i + 1 >= total) break;
+    flip_node(g, mask, std::countr_zero(i + 1), &uv, &vu, &usz);
   }
   return best;
 }
@@ -310,64 +266,6 @@ Cut sparsest_cut(const DiGraph& g) {
   if (g.num_nodes() <= 22) return sparsest_cut_exact(g);
   util::Rng rng(0xC0FFEE);
   return sparsest_cut_heuristic(g, rng, 128);
-}
-
-std::vector<Cut> sparsest_cuts_topk(const DiGraph& g, int k) {
-  const int n = g.num_nodes();
-  if (n > 26) throw std::invalid_argument("sparsest_cuts_topk: n > 26");
-  const std::uint64_t total = 1ULL << (n - 1);
-
-  // Per-thread top-k kept as a sorted vector (k is small).
-  std::vector<std::vector<Cut>> partial;
-#pragma omp parallel
-  {
-#pragma omp single
-    partial.resize(omp_get_num_threads());
-    auto& local = partial[omp_get_thread_num()];
-
-    const int threads = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
-    const std::uint64_t chunk = (total + threads - 1) / threads;
-    const std::uint64_t lo = std::max<std::uint64_t>(1, tid * chunk);
-    const std::uint64_t hi = std::min(total, (tid + 1) * chunk);
-
-    if (lo < hi) {
-      std::uint64_t gray = lo ^ (lo >> 1);
-      std::uint64_t mask = gray;
-      int usz = std::popcount(mask), uv = 0, vu = 0;
-      count_cross(g, mask, &uv, &vu);
-
-      auto consider = [&](std::uint64_t m, int s, int cuv, int cvu) {
-        if (s == 0) return;
-        const double bw = ratio(cuv, cvu, s, n);
-        if (static_cast<int>(local.size()) == k && bw >= local.back().bandwidth)
-          return;
-        Cut c{m, s, cuv, cvu, bw};
-        auto it = std::lower_bound(
-            local.begin(), local.end(), c,
-            [](const Cut& a, const Cut& b) { return a.bandwidth < b.bandwidth; });
-        local.insert(it, c);
-        if (static_cast<int>(local.size()) > k) local.pop_back();
-      };
-
-      for (std::uint64_t i = lo;; ++i) {
-        consider(gray, usz, uv, vu);
-        if (i + 1 >= hi) break;
-        const int flip = std::countr_zero(i + 1);
-        gray ^= 1ULL << flip;
-        flip_node(g, mask, flip, &uv, &vu, &usz);
-      }
-    }
-  }
-
-  std::vector<Cut> merged;
-  for (auto& p : partial) merged.insert(merged.end(), p.begin(), p.end());
-  std::sort(merged.begin(), merged.end(), [](const Cut& a, const Cut& b) {
-    if (a.bandwidth != b.bandwidth) return a.bandwidth < b.bandwidth;
-    return a.u_mask < b.u_mask;
-  });
-  if (static_cast<int>(merged.size()) > k) merged.resize(k);
-  return merged;
 }
 
 int bisection_bandwidth(const DiGraph& g) {

@@ -10,7 +10,6 @@
 // networks, and property tests guarantee heuristic >= exact.
 
 #include <cstdint>
-#include <vector>
 
 #include "topo/graph.hpp"
 #include "util/rng.hpp"
@@ -33,8 +32,10 @@ std::pair<int, int> cross_edge_counts(const DiGraph& g, std::uint64_t u_mask);
 // Evaluates B(U,V) for an explicit partition mask.
 Cut evaluate_cut(const DiGraph& g, std::uint64_t u_mask);
 
-// Exhaustive sparsest cut; requires n <= 26 (2^(n-1) partitions, enumerated
-// incrementally via Gray code and parallelized with OpenMP).
+// Exhaustive sparsest cut; requires n <= 26 (2^(n-1) partitions, node n-1
+// fixed in V, enumerated serially and incrementally via Gray code). Ties
+// resolve to the first minimum in Gray order, so the returned Cut (mask and
+// cross counts included) is a pure function of the graph.
 Cut sparsest_cut_exact(const DiGraph& g);
 
 // Local-search heuristic: random subsets refined by single-node moves.
@@ -43,10 +44,6 @@ Cut sparsest_cut_heuristic(const DiGraph& g, util::Rng& rng, int restarts = 64);
 
 // Dispatches to exact for n <= 22, heuristic otherwise (deterministic seed).
 Cut sparsest_cut(const DiGraph& g);
-
-// The K sparsest cuts (by bandwidth, distinct masks). Used as the lazy cut
-// cache in SCOp synthesis (cutting-plane style surrogate). Exact for n <= 26.
-std::vector<Cut> sparsest_cuts_topk(const DiGraph& g, int k);
 
 // Bisection bandwidth: min over (near-)balanced partitions of the
 // min-direction crossing link count (Table II "Bi. BW" uses full-duplex link

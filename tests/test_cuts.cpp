@@ -82,14 +82,41 @@ TEST_P(HeuristicVsExact, HeuristicNeverBelowExact) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, HeuristicVsExact,
                          ::testing::Range(0, 16));
 
-TEST(TopK, SortedAndConsistent) {
-  const auto g = build_folded_torus(Layout::noi_4x5());
-  const auto top = sparsest_cuts_topk(g, 8);
-  ASSERT_EQ(top.size(), 8u);
-  for (std::size_t i = 1; i < top.size(); ++i)
-    EXPECT_LE(top[i - 1].bandwidth, top[i].bandwidth);
-  const auto best = sparsest_cut_exact(g);
-  EXPECT_NEAR(top[0].bandwidth, best.bandwidth, 1e-12);
+// Serial contract: the exact search walks partitions in Gray order
+// (node n-1 fixed in V) and keeps the first strict minimum. Folded tori tie
+// many cuts at the minimum, so any other enumeration order or tie-break
+// would return a different mask.
+Cut gray_order_first_min(const DiGraph& g, int* ties) {
+  const int n = g.num_nodes();
+  Cut best;
+  best.bandwidth = std::numeric_limits<double>::infinity();
+  *ties = 0;
+  for (std::uint64_t i = 1; i < (1ULL << (n - 1)); ++i) {
+    const auto c = evaluate_cut(g, i ^ (i >> 1));
+    if (c.bandwidth < best.bandwidth) {
+      best = c;
+      *ties = 1;
+    } else if (c.bandwidth == best.bandwidth) {
+      ++*ties;
+    }
+  }
+  return best;
+}
+
+TEST(SparsestCut, FirstGrayOrderMinimumOnTiedTori) {
+  for (const Layout lay : {Layout{3, 4, 2.0}, Layout{4, 4, 2.0},
+                           Layout::noi_4x5()}) {
+    const auto g = build_folded_torus(lay);
+    int ties = 0;
+    const auto ref = gray_order_first_min(g, &ties);
+    EXPECT_GT(ties, 1) << lay.rows << "x" << lay.cols;
+    const auto c = sparsest_cut_exact(g);
+    EXPECT_EQ(c.u_mask, ref.u_mask) << lay.rows << "x" << lay.cols;
+    EXPECT_EQ(c.u_size, ref.u_size);
+    EXPECT_EQ(c.cross_uv, ref.cross_uv);
+    EXPECT_EQ(c.cross_vu, ref.cross_vu);
+    EXPECT_EQ(c.bandwidth, ref.bandwidth);
+  }
 }
 
 TEST(Bisection, FoldedTorus4x5Is10) {

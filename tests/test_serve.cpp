@@ -13,8 +13,10 @@
 //    a byte-identical report
 //  - serve protocol: reports stream back byte-identical to what the Study
 //    produced, repeated specs answer from cache, malformed requests yield
-//    structured errors without killing the connection, and concurrent
-//    clients share pool and store safely
+//    structured errors without killing the connection, concurrent
+//    clients share pool and store safely, an over-long request line is
+//    answered in-band and closed, and finished connection handlers are
+//    joined instead of accumulating
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -538,45 +543,58 @@ TEST_F(ServeDaemonTest, ConcurrentClientsGetIdenticalReports) {
   }
 }
 
-TEST(ServeSpool, DirectoryModeProducesReports) {
-  const std::string dir = temp_dir("spool");
-  serve::ServerOptions opts;
-  opts.spool_dir = dir + "/spool";
-  opts.cache_dir = dir + "/cache";
-  opts.threads = 2;
-  opts.spool_poll_ms = 20;
-  serve::Server server(opts);
-  server.start();
-
-  const api::ExperimentSpec spec = baseline_spec();
-  {
-    std::ofstream f(dir + "/spool/job1.json", std::ios::binary);
-    f << api::serialize(spec);
+TEST_F(ServeDaemonTest, FinishedHandlersAreJoinedOnAccept) {
+  // One handler thread per connection; without reaping, every connection
+  // ever accepted would keep its thread handle until shutdown.
+  constexpr int kConnections = 200;
+  std::size_t peak = 0;
+  for (int i = 0; i < kConnections; ++i) {
+    ServeClient c(socket_);
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(c.send("{\"op\":\"ping\"}"));
+    ASSERT_EQ(c.wait_for("pong").at("event").as_string(), "pong");
+    peak = std::max(peak, server_->unjoined_handlers());
   }
-  std::string report_path = dir + "/spool/job1.report.json";
-  for (int i = 0; i < 500 && !fs::exists(dir + "/spool/job1.json.done"); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(fs::exists(dir + "/spool/job1.json.done"));
-  ASSERT_TRUE(fs::exists(report_path));
-  std::ifstream in(report_path, std::ios::binary);
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(body, api::report_to_json(api::run_experiment(spec)));
+  EXPECT_LE(peak, 16u);
+}
 
-  // A broken spec fails in place without touching the daemon.
-  {
-    std::ofstream f(dir + "/spool/bad.json", std::ios::binary);
-    f << "{\"topologies\": []}";
+TEST_F(ServeDaemonTest, OverlongLineIsAnsweredThenClosed) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // One byte over the cap and no newline: the daemon must stop buffering.
+  const std::string blob(serve::kMaxLineBytes + 1, 'x');
+  std::size_t off = 0;
+  while (off < blob.size()) {
+    const ssize_t n =
+        ::send(fd, blob.data() + off, blob.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    off += static_cast<std::size_t>(n);
   }
-  for (int i = 0; i < 500 && !fs::exists(dir + "/spool/bad.json.failed");
-       ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(fs::exists(dir + "/spool/bad.json.failed"));
-  EXPECT_TRUE(fs::exists(dir + "/spool/bad.error.txt"));
-
-  server.request_stop();
-  server.wait();
-  fs::remove_all(dir);
+  // Bounded wait: a daemon that kept buffering would never answer.
+  timeval tv{};
+  tv.tv_usec = 200 * 1000;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  serve::LineReader reader(
+      fd, [deadline] { return std::chrono::steady_clock::now() > deadline; });
+  std::string line;
+  ASSERT_TRUE(reader.next(line)) << "no answer to an over-long line";
+  const JsonValue err = JsonValue::parse(line);
+  EXPECT_EQ(err.at("event").as_string(), "error");
+  EXPECT_NE(err.at("message").as_string().find("exceeds"), std::string::npos);
+  EXPECT_FALSE(reader.next(line)) << "connection left open";
+  ::close(fd);
+  // The daemon itself is unaffected.
+  ServeClient c(socket_);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(c.send("{\"op\":\"ping\"}"));
+  EXPECT_EQ(c.wait_for("pong").at("event").as_string(), "pong");
 }
 
 }  // namespace

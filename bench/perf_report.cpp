@@ -6,6 +6,7 @@
 // Usage: perf_report [--smoke] [--out PATH] [--min-apsp-speedup X]
 //                    [--min-sim-speedup X] [--min-mclb-speedup X]
 //                    [--max-obs-overhead-pct X] [--min-delta-apsp-speedup X]
+//                    [--min-vc-layers-speedup X]
 //   --smoke              short budgets (CI-friendly, ~10 s total); the
 //                        n_scaling block covers n = {48, 256} instead of the
 //                        full {48, 128, 256, 512, 1024} curve
@@ -23,6 +24,10 @@
 //                        per-move throughput at n = 256 is not at least X
 //                        times the full n-source re-sweep (annealer-style
 //                        rewire moves, arms interleaved)
+//   --min-vc-layers-speedup X exit non-zero if vc::assign_layers is not at
+//                        least X times vc::assign_layers_reference on the
+//                        same n = 128 MCLB table (arms interleaved), or if
+//                        the two return different layers
 //
 // Speedups are measured as in-process ratios (optimized and reference runs
 // interleaved in the same process), so they stay meaningful on a noisy
@@ -51,6 +56,7 @@
 #include "topo/metrics.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
+#include "vc/layers.hpp"
 
 using namespace netsmith;
 
@@ -92,6 +98,11 @@ struct Report {
   double dapsp_full_ns = 0.0;
   double dapsp_speedup = 0.0;
   double dapsp_rows_per_move = 0.0;
+  // Schema 5: VC layering (Pearce-Kelly CDG) vs the full-check oracle.
+  int vc_layers = 0;
+  double vc_fast_s = 0.0;
+  double vc_reference_s = 0.0;
+  double vc_speedup = 0.0;
   // Schema 4: synthesis + simulation throughput vs n.
   struct ScalePoint {
     int n = 0;
@@ -99,6 +110,7 @@ struct Report {
     double apsp_rows_per_move = 0.0;  // delta-engine re-sweeps per move
     int landmark_sources = 0;         // 0 = full per-move scoring
     double sim_cycles_per_sec = 0.0;
+    double vc_layers_s = 0.0;  // the plan's vc/assign_layers span
   };
   std::vector<ScalePoint> scaling;
 };
@@ -111,7 +123,8 @@ void write_json(const Report& r, const std::string& path) {
   // v4: adds "delta_apsp" (incremental-APSP move engine vs full re-sweep)
   // and "n_scaling" (synthesis + sim throughput vs n); every pre-v4 field is
   // byte-compatible so the perf trajectory across PRs stays diffable.
-  w.field_int("schema", 4);
+  // v5: adds "vc_layers" and n_scaling[].vc_layers_s.
+  w.field_int("schema", 5);
   w.field_bool("smoke", r.smoke);
   w.begin_object("anneal");
   w.field_fmt("moves_per_sec", "%.1f", r.anneal_moves_per_sec);
@@ -148,6 +161,13 @@ void write_json(const Report& r, const std::string& path) {
   w.field_fmt("speedup", "%.2f", r.dapsp_speedup);
   w.field_fmt("rows_per_move", "%.2f", r.dapsp_rows_per_move);
   w.end();
+  w.begin_object("vc_layers");
+  w.field_int("n", 128);
+  w.field_int("layers", r.vc_layers);
+  w.field_fmt("fast_s", "%.5f", r.vc_fast_s);
+  w.field_fmt("reference_s", "%.5f", r.vc_reference_s);
+  w.field_fmt("speedup", "%.2f", r.vc_speedup);
+  w.end();
   w.begin_array("n_scaling");
   for (const auto& p : r.scaling) {
     w.begin_object();
@@ -156,6 +176,7 @@ void write_json(const Report& r, const std::string& path) {
     w.field_fmt("apsp_rows_per_move", "%.2f", p.apsp_rows_per_move);
     w.field_int("landmark_sources", p.landmark_sources);
     w.field_fmt("sim_cycles_per_sec", "%.1f", p.sim_cycles_per_sec);
+    w.field_fmt("vc_layers_s", "%.4f", p.vc_layers_s);
     w.end();
   }
   w.end();
@@ -180,6 +201,7 @@ int main(int argc, char** argv) {
   double min_mclb_speedup = 0.0;
   double max_obs_overhead_pct = 0.0;
   double min_dapsp_speedup = 0.0;
+  double min_vc_speedup = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--smoke")) rep.smoke = true;
     else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out = argv[++i];
@@ -193,12 +215,15 @@ int main(int argc, char** argv) {
       max_obs_overhead_pct = std::atof(argv[++i]);
     else if (!std::strcmp(argv[i], "--min-delta-apsp-speedup") && i + 1 < argc)
       min_dapsp_speedup = std::atof(argv[++i]);
+    else if (!std::strcmp(argv[i], "--min-vc-layers-speedup") && i + 1 < argc)
+      min_vc_speedup = std::atof(argv[++i]);
     else {
       std::fprintf(stderr,
                    "usage: perf_report [--smoke] [--out PATH] "
                    "[--min-apsp-speedup X] [--min-sim-speedup X] "
                    "[--min-mclb-speedup X] [--max-obs-overhead-pct X] "
-                   "[--min-delta-apsp-speedup X]\n");
+                   "[--min-delta-apsp-speedup X] "
+                   "[--min-vc-layers-speedup X]\n");
       return 2;
     }
   }
@@ -272,6 +297,45 @@ int main(int argc, char** argv) {
     rep.mclb_scan_routes_per_sec = static_cast<double>(scan_routes) / scan_s;
     rep.mclb_speedup =
         rep.mclb_flat_routes_per_sec / rep.mclb_scan_routes_per_sec;
+  }
+
+  // --- VC layering: Pearce-Kelly CDG vs full-check oracle at n = 128. -----
+  // Same MCLB table (random radix-4 16x8 layout, 4 paths per flow) and rng
+  // seed in both arms, which run interleaved, alternating which goes first,
+  // so machine-load noise cancels out of the ratio. The arms must agree.
+  {
+    const topo::Layout lay{16, 8, 2.0};
+    util::Rng grng(1);
+    const auto g = topo::build_random(lay, topo::LinkClass::kMedium, 4, grng);
+    const auto ps = routing::enumerate_shortest_paths(g, 4);
+    const auto table = routing::mclb_local_search(ps).table(ps);
+    util::WallTimer total;
+    double fast_s = 0.0, ref_s = 0.0;
+    long pairs = 0;
+    do {
+      vc::VcAssignment fast, ref;
+      for (const bool fast_arm : {pairs % 2 == 0, pairs % 2 != 0}) {
+        util::Rng rng(5);
+        util::WallTimer w;
+        if (fast_arm) {
+          fast = vc::assign_layers(table, g, rng);
+          fast_s += w.seconds();
+        } else {
+          ref = vc::assign_layers_reference(table, g, rng);
+          ref_s += w.seconds();
+        }
+      }
+      if (fast.num_layers != ref.num_layers || fast.layer != ref.layer) {
+        std::fprintf(stderr,
+                     "perf_report: assign_layers differs from the reference\n");
+        return 1;
+      }
+      rep.vc_layers = fast.num_layers;
+      ++pairs;
+    } while (total.seconds() < kernel_budget * 2.0);
+    rep.vc_fast_s = fast_s / static_cast<double>(pairs);
+    rep.vc_reference_s = ref_s / static_cast<double>(pairs);
+    rep.vc_speedup = ref_s / fast_s;
   }
 
   // --- Delta-APSP move engine vs full re-sweep at n = 256. ----------------
@@ -491,10 +555,16 @@ int main(int argc, char** argv) {
               : 0.0;
 
       // The longer routes at n >= 512 need a deeper VC stack for an acyclic
-      // layering (same bound fig_scale uses).
+      // layering (same bound fig_scale uses). The plan runs traced, and its
+      // vc/assign_layers span gives the layering time.
+      obs::set_trace_enabled(true);
       const auto plan = core::plan_network(
           r.graph, cfg.layout, core::RoutingPolicy::kMclb,
           /*num_vcs=*/pt.n >= 512 ? 10 : 6, 7, /*max_paths_per_flow=*/4);
+      obs::set_trace_enabled(false);
+      for (const auto& e : obs::collect_trace_events())
+        if (e.name == "vc/assign_layers") sp.vc_layers_s = e.dur_us * 1e-6;
+      obs::reset_trace();
       sim::TrafficConfig t;
       t.kind = sim::TrafficKind::kCoherence;
       t.injection_rate = 0.02;
@@ -507,9 +577,9 @@ int main(int argc, char** argv) {
       sp.sim_cycles_per_sec = static_cast<double>(cycles) / sim_t.seconds();
       rep.scaling.push_back(sp);
       std::printf("  n_scaling n=%-5d synth %.0f moves/s (%.1f rows/move, "
-                  "lm=%d) | sim %.2e cyc/s\n",
+                  "lm=%d) | sim %.2e cyc/s | vc layers %.3f s\n",
                   sp.n, sp.synth_moves_per_sec, sp.apsp_rows_per_move,
-                  sp.landmark_sources, sp.sim_cycles_per_sec);
+                  sp.landmark_sources, sp.sim_cycles_per_sec, sp.vc_layers_s);
     }
   }
 
@@ -650,16 +720,17 @@ int main(int argc, char** argv) {
   std::printf("perf_report%s: anneal %.0f moves/s | apsp48 %.0f ns (scalar "
               "%.0f ns, %.2fx) | dapsp256 %.0f ns/move (full %.0f ns, %.2fx, "
               "%.1f rows/move) | cut20 %.2f ms | mclb %.0f routes/s (scan "
-              "%.0f, %.2fx) | sim %.2e cyc/s (ref %.2e, %.2fx) | obs "
-              "+%.1f%%/+%.1f%% -> %s\n",
+              "%.0f, %.2fx) | vc128 %.3f s (ref %.3f s, %.2fx) | sim %.2e "
+              "cyc/s (ref %.2e, %.2fx) | obs +%.1f%%/+%.1f%% -> %s\n",
               rep.smoke ? " [smoke]" : "", rep.anneal_moves_per_sec,
               rep.apsp48_bitset_ns, rep.apsp48_scalar_ns, rep.apsp48_speedup,
               rep.dapsp_delta_ns, rep.dapsp_full_ns, rep.dapsp_speedup,
               rep.dapsp_rows_per_move,
               rep.cut_exact20_ms, rep.mclb_flat_routes_per_sec,
-              rep.mclb_scan_routes_per_sec, rep.mclb_speedup,
-              rep.sim_cycles_per_sec, rep.sim_ref_cycles_per_sec,
-              rep.sim_speedup, rep.obs_sim_overhead_pct,
+              rep.mclb_scan_routes_per_sec, rep.mclb_speedup, rep.vc_fast_s,
+              rep.vc_reference_s, rep.vc_speedup, rep.sim_cycles_per_sec,
+              rep.sim_ref_cycles_per_sec, rep.sim_speedup,
+              rep.obs_sim_overhead_pct,
               rep.obs_mclb_overhead_pct, out.c_str());
 
   if (min_apsp_speedup > 0.0 && rep.apsp48_speedup < min_apsp_speedup) {
@@ -686,6 +757,13 @@ int main(int argc, char** argv) {
                  "perf_report: delta-APSP per-move speedup %.2fx at n=256 "
                  "below required %.2fx\n",
                  rep.dapsp_speedup, min_dapsp_speedup);
+    return 1;
+  }
+  if (min_vc_speedup > 0.0 && rep.vc_speedup < min_vc_speedup) {
+    std::fprintf(stderr,
+                 "perf_report: VC layering speedup %.2fx at n=128 below "
+                 "required %.2fx\n",
+                 rep.vc_speedup, min_vc_speedup);
     return 1;
   }
   if (max_obs_overhead_pct > 0.0 &&

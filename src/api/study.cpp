@@ -648,17 +648,19 @@ void Study::run_jobs() {
         base_resil + i);
   }
 
-  int width = opts_.threads >= 0 ? opts_.threads : spec_.threads;
-  if (width <= 0) {
-    width = static_cast<int>(std::thread::hardware_concurrency());
-    if (width <= 0) width = 1;
-  }
-  width = std::min<int>(width, std::max(1, stats_.jobs_total));
-
   obs::WallTimer wall;
+  // Pool width, known only when this Study owns its pool: a caller's
+  // executor does not expose one, so no width gauge is published for it.
+  int width = 0;
   if (opts_.executor != nullptr) {
     run_dag_on(jobs, *opts_.executor, opts_.on_job_done);
   } else {
+    width = opts_.threads >= 0 ? opts_.threads : spec_.threads;
+    if (width <= 0) {
+      width = static_cast<int>(std::thread::hardware_concurrency());
+      if (width <= 0) width = 1;
+    }
+    width = std::min<int>(width, std::max(1, stats_.jobs_total));
     ThreadPool pool(width);
     run_dag_on(jobs, pool, opts_.on_job_done);
   }
@@ -686,11 +688,13 @@ void Study::run_jobs() {
     const double wall_s = wall.seconds();
     const double busy_s =
         static_cast<double>(busy_us.load(std::memory_order_relaxed)) * 1e-6;
-    obs::gauge("study.pool_width").set(width);
     obs::gauge("study.pool_busy_s").set(busy_s);
     obs::gauge("study.pool_wall_s").set(wall_s);
-    if (wall_s > 0.0)
-      obs::gauge("study.pool_utilization").set(busy_s / (wall_s * width));
+    if (width > 0) {
+      obs::gauge("study.pool_width").set(width);
+      if (wall_s > 0.0)
+        obs::gauge("study.pool_utilization").set(busy_s / (wall_s * width));
+    }
   }
 }
 

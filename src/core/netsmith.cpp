@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "routing/channel_load.hpp"
 #include "routing/ndbt.hpp"
 #include "topo/cuts.hpp"
@@ -70,20 +71,26 @@ NetworkPlan plan_network(const topo::DiGraph& g, const topo::Layout& layout,
   plan.seed = seed;
   plan.max_paths_per_flow = max_paths_per_flow;
 
-  const auto all_paths = routing::enumerate_shortest_paths(g, max_paths_per_flow);
   util::Rng rng(seed);
-
-  if (policy == RoutingPolicy::kMclb) {
-    // Deterministic local search only: abl_mclb shows it matches the exact
-    // Table III MILP on these instances at a fraction of the cost.
-    const auto mclb = routing::mclb_local_search(all_paths);
-    plan.table = mclb.table(all_paths);
-    plan.max_channel_load = mclb.max_load;
-  } else {
-    const auto filtered = routing::ndbt_filter(all_paths, layout);
-    plan.ndbt_fallback_flows = filtered.flows_without_legal_path;
-    plan.table = routing::RoutingTable::select_random(filtered.paths, rng);
-    plan.max_channel_load = routing::analyze_uniform(plan.table).max_load;
+  {
+    // Scoped so the candidate paths are freed before VC layering, the
+    // plan's other large transient.
+    const auto all_paths = [&] {
+      obs::Span span("routing/enumerate_paths");
+      return routing::enumerate_shortest_paths(g, max_paths_per_flow);
+    }();
+    if (policy == RoutingPolicy::kMclb) {
+      // Deterministic local search only: abl_mclb shows it matches the exact
+      // Table III MILP on these instances at a fraction of the cost.
+      const auto mclb = routing::mclb_local_search(all_paths);
+      plan.table = mclb.table(all_paths);
+      plan.max_channel_load = mclb.max_load;
+    } else {
+      const auto filtered = routing::ndbt_filter(all_paths, layout);
+      plan.ndbt_fallback_flows = filtered.flows_without_legal_path;
+      plan.table = routing::RoutingTable::select_random(filtered.paths, rng);
+      plan.max_channel_load = routing::analyze_uniform(plan.table).max_load;
+    }
   }
 
   const auto layers = vc::assign_layers(plan.table, g, rng);

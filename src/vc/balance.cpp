@@ -4,10 +4,13 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace netsmith::vc {
 
 VcMap balance_vcs(const VcAssignment& a, const routing::RoutingTable& rt,
                   int num_vcs) {
+  obs::Span span("vc/balance_vcs");
   const int n = rt.num_nodes();
   const int layers = a.num_layers;
   if (num_vcs < layers)

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/executor.hpp"
 #include "api/report.hpp"
 #include "api/study.hpp"
+#include "obs/metrics.hpp"
 
 namespace netsmith::api {
 namespace {
@@ -285,6 +287,49 @@ TEST(Study, ReportDeterministicAcrossThreadCounts) {
     EXPECT_GE(sw.omp_threads, 1);
     EXPECT_EQ(sw.omp_threads, r.omp_max_threads);
   }
+}
+
+// A Study on a caller's executor cannot see that pool's width, so it
+// publishes no width or utilization gauge; one owning its pool does. Threads
+// are left unset, so a guess would read hardware_concurrency().
+TEST(Study, NoPoolWidthGaugeOnExternalExecutor) {
+  ExperimentSpec spec;
+  TopologySpec mesh;
+  mesh.source = TopologySource::kBaseline;
+  mesh.baseline = "mesh:rows=3,cols=4";
+  TopologySpec torus;
+  torus.source = TopologySource::kBaseline;
+  torus.baseline = "folded_torus:rows=3,cols=4";
+  spec.topologies = {mesh, torus};
+  spec.seeds = {1, 2};
+  spec.analytic = true;
+
+  const auto gauge = [](const std::string& name) {
+    for (const auto& [k, v] : obs::snapshot_metrics().gauges)
+      if (k == name) return v;
+    return 0.0;
+  };
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  {
+    ThreadPool pool(1);
+    StudyOptions opts;
+    opts.executor = &pool;
+    Study(spec, opts).run();
+  }
+  const double external_width = gauge("study.pool_width");
+  const double external_util = gauge("study.pool_utilization");
+  const double busy = gauge("study.pool_busy_s");
+  obs::reset_metrics();
+  Study(spec, StudyOptions{2}).run();  // an owned pool still reports
+  const double owned_width = gauge("study.pool_width");
+  obs::set_metrics_enabled(false);
+  obs::reset_metrics();
+
+  EXPECT_EQ(external_width, 0.0);
+  EXPECT_EQ(external_util, 0.0);
+  EXPECT_GT(busy, 0.0);
+  EXPECT_EQ(owned_width, 2.0);
 }
 
 TEST(Report, EmbeddedSpecRoundTrips) {
